@@ -412,6 +412,7 @@ impl<P: DhtProtocol, T: Transport> LegacyCluster<P, T> {
         t.counter_add("wire.encode_oversize", c.encode_oversize);
         t.counter_add("wire.frames_dropped", c.frames_dropped);
         t.counter_add("wire.frames_retransmitted", c.frames_retransmitted);
+        t.counter_add("wire.frames_abandoned", c.frames_abandoned);
         t.counter_add("wire.internal_errors", c.internal_errors);
         t.gauge_set("cluster.nodes", self.nodes.len() as i64);
         t.gauge_set("cluster.live_nodes", live);
@@ -1001,6 +1002,7 @@ impl<P: DhtProtocol, T: Transport> LegacyCluster<P, T> {
             };
             if p.attempts >= policy.max_attempts {
                 self.node_at_mut(i).awaiting_ack.remove(&seq);
+                self.transport.counters_mut().frames_abandoned += 1;
                 continue;
             }
             p.attempts += 1;

@@ -15,6 +15,15 @@
 //! * [`ReactorCore::next_wake`] — the earliest instant at which `poll`
 //!   would have work: `min(next timer, next RTO)` over all live nodes.
 //!
+//! Neither `poll` nor `next_wake` scans the node table. The core keeps
+//! one exact deadline index — an ordered set of `(next_deadline, node)`
+//! with one key per live node that has anything armed — and re-keys a
+//! node wherever its timer heap or retransmit buffer changes, at
+//! O(log n) per change. `next_wake` reads the index's first key, and
+//! `poll` visits only the nodes whose key is due, so an event instant
+//! costs in proportion to the nodes with work at it, not to the cluster
+//! size.
+//!
 //! That contract — `poll(now) → frames out` plus `next_wake() → wake-at`
 //! — is what lets one protocol core serve every host with zero
 //! divergence: the virtual-time [`Cluster`](crate::runtime::Cluster) over
@@ -31,7 +40,7 @@
 //! the steady-state hot path allocates nothing per frame.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 use cam_overlay::dynamic::{
     CollectedEffects, DhtActor, DhtMsg, DhtProtocol, EffectDriver, SUCCESSOR_LIST_LEN,
@@ -158,6 +167,9 @@ pub struct NodeRuntime<P: DhtProtocol> {
     awaiting_ack: HashMap<u64, PendingAck>,
     next_seq: u64,
     rng: SimRng,
+    /// This node's key in the core's deadline index: `next_deadline()` as
+    /// of the last index update (`None` when not indexed).
+    indexed: Option<SimTime>,
 }
 
 impl<P: DhtProtocol> NodeRuntime<P> {
@@ -170,6 +182,7 @@ impl<P: DhtProtocol> NodeRuntime<P> {
             awaiting_ack: HashMap::new(),
             next_seq: 1,
             rng: SimRng::new(seed).split(0x0DE ^ index as u64),
+            indexed: None,
         }
     }
 
@@ -243,6 +256,15 @@ pub struct ReactorCore<P: DhtProtocol> {
     /// [`ReactorCore::set_tracer`]. Events are stamped with the `now`
     /// the host passes in, so virtual-time runs trace deterministically.
     tracer: Box<dyn Tracer>,
+    /// The deadline index: `(next_deadline, node)` for every live node
+    /// with a timer or retransmission armed. Exact at every public entry
+    /// point — each node's key equals its `next_deadline()` — so
+    /// `next_wake` never reports an instant with no work behind it.
+    deadlines: BTreeSet<(SimTime, usize)>,
+    /// Scratch for [`ReactorCore::poll`]: indices of the due nodes.
+    due_nodes: Vec<usize>,
+    /// Scratch for `pump_node`: sequence numbers of due retransmissions.
+    due_seqs: Vec<u64>,
 }
 
 impl<P: DhtProtocol> ReactorCore<P> {
@@ -286,6 +308,9 @@ impl<P: DhtProtocol> ReactorCore<P> {
             next_payload: 1,
             effects: CollectedEffects::new(),
             tracer: Box::new(NopTracer),
+            deadlines: BTreeSet::new(),
+            due_nodes: Vec::new(),
+            due_seqs: Vec::new(),
         };
 
         let directory: HashMap<u64, ActorId> = sorted
@@ -330,26 +355,9 @@ impl<P: DhtProtocol> ReactorCore<P> {
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) {
-        let mut fx = std::mem::take(&mut self.effects);
-        {
-            let ReactorCore { nodes, tracer, .. } = self;
-            let Some(nd) = nodes.get_mut(i) else {
-                counters.internal_errors += 1;
-                self.effects = fx;
-                return;
-            };
-            let mut drv = EffectDriver {
-                me: ActorId(i),
-                effects: &mut fx,
-                rng: &mut nd.rng,
-                tracer: tracer.as_mut(),
-                now_micros: now.micros(),
-            };
-            nd.actor.arm_maintenance(&mut drv, jitter);
-        }
-        self.flush_effects(now, i, &mut fx, sink, counters);
-        fx.clear();
-        self.effects = fx;
+        self.drive(now, i, sink, counters, |actor, drv| {
+            actor.arm_maintenance(drv, jitter)
+        });
     }
 
     /// Sets the base maintenance period on every node (see
@@ -454,6 +462,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
         nd.alive = false;
         nd.timers.clear();
         nd.awaiting_ack.clear();
+        self.set_key(i, None);
         self.tracer.record(now.micros(), i as u64, EventKind::Crash);
     }
 
@@ -787,15 +796,41 @@ impl<P: DhtProtocol> ReactorCore<P> {
     /// The earliest instant [`ReactorCore::poll`] has work — the minimum
     /// over every live node's next timer and next retransmission. `None`
     /// when the core is fully quiescent.
+    ///
+    /// Reads the first key of the deadline index: O(log n), no scan.
     pub fn next_wake(&self) -> Option<SimTime> {
-        let mut next = None;
-        for nd in &self.nodes {
-            next = match (next, nd.next_deadline()) {
-                (Some(a), Some(b)) => Some(SimTime::min(a, b)),
-                (a, b) => a.or(b),
-            };
+        self.deadlines.first().map(|&(at, _)| at)
+    }
+
+    /// Replaces node `i`'s key in the deadline index with `key`.
+    fn set_key(&mut self, i: usize, key: Option<SimTime>) {
+        let old = std::mem::replace(&mut self.node_at_mut(i).indexed, key);
+        if old == key {
+            return;
         }
-        next
+        if let Some(at) = old {
+            self.deadlines.remove(&(at, i));
+        }
+        if let Some(at) = key {
+            self.deadlines.insert((at, i));
+        }
+    }
+
+    /// Re-keys node `i` from scratch after its timers or retransmit
+    /// buffer changed in any way (costs one scan of its ack buffer).
+    fn reindex(&mut self, i: usize) {
+        let key = self.node_at(i).next_deadline();
+        self.set_key(i, key);
+    }
+
+    /// Re-keys node `i` after something was armed at `at`. Arming can only
+    /// lower a minimum, so this is exact without a rescan; dead nodes stay
+    /// out of the index.
+    fn lower_key(&mut self, i: usize, at: SimTime) {
+        let nd = self.node_at(i);
+        if nd.alive && nd.indexed.is_none_or(|k| at < k) {
+            self.set_key(i, Some(at));
+        }
     }
 
     /// One received datagram: decode, acknowledge if required, deliver to
@@ -821,7 +856,12 @@ impl<P: DhtProtocol> ReactorCore<P> {
             Err(_) => counters.frames_rejected += 1,
             Ok(Frame::Ack { seq, .. }) => {
                 counters.frames_decoded += 1;
-                self.node_at_mut(to).awaiting_ack.remove(&seq);
+                if let Some(p) = self.node_at_mut(to).awaiting_ack.remove(&seq) {
+                    // Only the frame holding the node's key can raise it.
+                    if self.node_at(to).indexed == Some(p.next_at) {
+                        self.reindex(to);
+                    }
+                }
             }
             Ok(Frame::Data {
                 from,
@@ -875,6 +915,21 @@ impl<P: DhtProtocol> ReactorCore<P> {
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) {
+        self.drive(now, i, sink, counters, |actor, drv| {
+            actor.deliver(drv, from, msg)
+        });
+    }
+
+    /// Runs `f` against node `i`'s actor with an effect driver, then
+    /// flushes the collected effects.
+    fn drive(
+        &mut self,
+        now: SimTime,
+        i: usize,
+        sink: &mut FrameSink,
+        counters: &mut WireCounters,
+        f: impl FnOnce(&mut DhtActor<P>, &mut EffectDriver<'_>),
+    ) {
         let mut fx = std::mem::take(&mut self.effects);
         {
             let ReactorCore { nodes, tracer, .. } = self;
@@ -890,7 +945,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
                 tracer: tracer.as_mut(),
                 now_micros: now.micros(),
             };
-            nd.actor.deliver(&mut drv, from, msg);
+            f(&mut nd.actor, &mut drv);
         }
         self.flush_effects(now, i, &mut fx, sink, counters);
         fx.clear();
@@ -910,6 +965,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
         for (delay, tag) in fx.timers.drain(..) {
             let at = now + delay;
             self.node_at_mut(i).push_timer(at, tag);
+            self.lower_key(i, at);
         }
         for (to, msg) in fx.sends.drain(..) {
             self.send_msg(now, i, to, msg, sink, counters);
@@ -956,14 +1012,16 @@ impl<P: DhtProtocol> ReactorCore<P> {
             Ok(()) => {
                 counters.frames_encoded += 1;
                 if needs_ack {
+                    let next_at = now + self.policy.initial_rto;
                     let pending = PendingAck {
                         to,
                         frame: buf.clone(),
                         attempts: 1,
                         rto: self.policy.initial_rto,
-                        next_at: now + self.policy.initial_rto,
+                        next_at,
                     };
                     self.node_at_mut(i).awaiting_ack.insert(seq, pending);
+                    self.lower_key(i, next_at);
                 }
                 sink.push(i, to, buf);
             }
@@ -971,83 +1029,73 @@ impl<P: DhtProtocol> ReactorCore<P> {
     }
 
     /// Fires every timer and retransmission due at or before `now`,
-    /// across all nodes in index order (the same order the legacy loop
-    /// pumped them, so deterministic runs stay bit-identical). Returns
-    /// whether anything fired.
+    /// node by node in index order (the same order the legacy loop pumped
+    /// them, so deterministic runs stay bit-identical). Returns whether
+    /// anything fired.
+    ///
+    /// Visits only the nodes whose deadline-index key is at or before
+    /// `now`: O(d log n) for `d` due nodes plus the work they fire, never
+    /// a walk over all `n`. Pumping node `i` changes no other node's
+    /// state, so the due set is fixed when the call starts, and pumping it
+    /// in index order is exactly the full scan minus the nodes with
+    /// nothing due.
     pub fn poll(
         &mut self,
         now: SimTime,
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) -> bool {
-        let mut did = false;
-        for i in 0..self.nodes.len() {
-            did |= self.pump_node(now, i, sink, counters);
+        let mut due = std::mem::take(&mut self.due_nodes);
+        due.clear();
+        due.extend(self.deadlines.range(..=(now, usize::MAX)).map(|&(_, i)| i));
+        due.sort_unstable();
+        for &i in &due {
+            self.pump_node(now, i, sink, counters);
         }
+        let did = !due.is_empty();
+        self.due_nodes = due;
         did
     }
 
-    /// Fires node `i`'s due timers and retransmissions. Returns whether
-    /// anything fired.
+    /// Fires live node `i`'s due timers, then its due retransmissions in
+    /// sequence order, and re-keys it in the deadline index.
     fn pump_node(
         &mut self,
         now: SimTime,
         i: usize,
         sink: &mut FrameSink,
         counters: &mut WireCounters,
-    ) -> bool {
-        let mut did = false;
+    ) {
         while let Some(&Reverse((at, _, tag))) = self.node_at(i).timers.peek() {
             if at > now {
                 break;
             }
             self.node_at_mut(i).timers.pop();
-            if !self.node_at(i).alive {
-                continue;
-            }
-            did = true;
-            let mut fx = std::mem::take(&mut self.effects);
-            {
-                let ReactorCore { nodes, tracer, .. } = self;
-                let Some(nd) = nodes.get_mut(i) else {
-                    counters.internal_errors += 1;
-                    self.effects = fx;
-                    return did;
-                };
-                let mut drv = EffectDriver {
-                    me: ActorId(i),
-                    effects: &mut fx,
-                    rng: &mut nd.rng,
-                    tracer: tracer.as_mut(),
-                    now_micros: now.micros(),
-                };
-                nd.actor.deliver_timer(&mut drv, tag);
-            }
-            self.flush_effects(now, i, &mut fx, sink, counters);
-            fx.clear();
-            self.effects = fx;
+            self.drive(now, i, sink, counters, |actor, drv| {
+                actor.deliver_timer(drv, tag)
+            });
         }
-        if !self.node_at(i).alive {
-            return did;
-        }
-        let mut due: Vec<u64> = self
-            .node_at(i)
-            .awaiting_ack
-            .iter()
-            .filter(|(_, p)| p.next_at <= now)
-            .map(|(&seq, _)| seq)
-            .collect();
+        let mut due = std::mem::take(&mut self.due_seqs);
+        due.clear();
+        // cam-lint: allow(determinism, reason = "collected into the reused scratch Vec, which is sorted by seq right below")
+        due.extend(
+            self.node_at(i)
+                .awaiting_ack
+                .iter()
+                .filter(|(_, p)| p.next_at <= now)
+                .map(|(&seq, _)| seq),
+        );
         // HashMap iteration order is per-instance random; retransmit in
         // sequence order so virtual-time runs stay deterministic.
         due.sort_unstable();
-        for seq in due {
-            did = true;
-            let policy = self.policy;
+        let policy = self.policy;
+        for &seq in &due {
             let Some(p) = self.node_at_mut(i).awaiting_ack.get_mut(&seq) else {
                 continue; // acked between collection and retransmission
             };
             if p.attempts >= policy.max_attempts {
                 self.node_at_mut(i).awaiting_ack.remove(&seq);
+                counters.frames_abandoned += 1;
                 continue;
             }
             p.attempts += 1;
@@ -1070,7 +1118,8 @@ impl<P: DhtProtocol> ReactorCore<P> {
             );
             sink.push(i, to, buf);
         }
-        did
+        self.due_seqs = due;
+        self.reindex(i);
     }
 }
 
@@ -1081,5 +1130,217 @@ impl<P: DhtProtocol> std::fmt::Debug for ReactorCore<P> {
             .field("endpoints", &self.endpoints)
             .field("next_payload", &self.next_payload)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::{InMemoryTransport, Transport};
+    use cam_core::cam_chord::CamChordProtocol;
+    use cam_sim::LatencyModel;
+
+    const SPACE: IdSpace = IdSpace::PAPER;
+
+    fn member(rng: &mut SimRng) -> Member {
+        Member::with_capacity(
+            Id(rng.uniform_incl(0, SPACE.size() - 1)),
+            rng.uniform_incl(2, 10) as u32,
+        )
+    }
+
+    /// The full scan the deadline index replaced, kept as the oracle:
+    /// node `nd`'s earliest timer or RTO, `None` when dead or idle.
+    fn scanned_deadline<P: DhtProtocol>(nd: &NodeRuntime<P>) -> Option<SimTime> {
+        if !nd.alive {
+            return None;
+        }
+        let timers = nd.timers.iter().map(|Reverse((at, _, _))| *at);
+        let rtos = nd.awaiting_ack.values().map(|p| p.next_at);
+        timers.chain(rtos).min()
+    }
+
+    /// A core on the in-memory wire, driven the way `Cluster` drives it.
+    struct Rig {
+        core: ReactorCore<CamChordProtocol>,
+        wire: InMemoryTransport,
+        sink: FrameSink,
+        now: SimTime,
+    }
+
+    impl Rig {
+        fn new(n: usize, spare: usize, seed: u64) -> Self {
+            let mut rng = SimRng::new(seed);
+            let mut members: Vec<Member> = Vec::new();
+            while members.len() < n {
+                let m = member(&mut rng);
+                if members.iter().all(|x| x.id != m.id) {
+                    members.push(m);
+                }
+            }
+            let mut wire = InMemoryTransport::new(n + spare, seed, LatencyModel::default_wan());
+            let mut sink = FrameSink::new();
+            let core = ReactorCore::converged(
+                SPACE,
+                &members,
+                CamChordProtocol,
+                seed,
+                n + spare,
+                RetransmitPolicy::default(),
+                &mut sink,
+                wire.counters_mut(),
+            );
+            let mut rig = Rig {
+                core,
+                wire,
+                sink,
+                now: SimTime::ZERO,
+            };
+            rig.ship();
+            rig
+        }
+
+        /// Asserts the index is exact: one key per busy live node, equal
+        /// to its scanned deadline, and `next_wake` is their minimum.
+        fn check(&self) {
+            let scanned: Vec<(SimTime, usize)> = (0..self.core.len())
+                .filter_map(|i| scanned_deadline(self.core.node(i)).map(|at| (at, i)))
+                .collect();
+            assert_eq!(
+                self.core.next_wake(),
+                scanned.iter().map(|&(at, _)| at).min(),
+                "next_wake diverged from the full scan at {:?}",
+                self.now
+            );
+            let indexed: Vec<(SimTime, usize)> = self.core.deadlines.iter().copied().collect();
+            let mut expected = scanned;
+            expected.sort_unstable();
+            assert_eq!(indexed, expected, "deadline index is stale");
+        }
+
+        fn ship(&mut self) {
+            self.wire.send_batch(self.now, self.sink.frames());
+            self.sink.recycle_all();
+        }
+
+        /// Delivers every frame due by `now`, then polls once.
+        fn run_instant(&mut self) {
+            while let Some((to, bytes)) = self.wire.poll(self.now) {
+                let counters = self.wire.counters_mut();
+                self.core
+                    .handle_frame(self.now, to, &bytes, &mut self.sink, counters);
+                self.check();
+                self.ship();
+            }
+            let counters = self.wire.counters_mut();
+            self.core.poll(self.now, &mut self.sink, counters);
+            self.check();
+            self.ship();
+        }
+
+        /// Hops to the next event instant, as the virtual-time driver does.
+        fn step(&mut self) {
+            let next = match (self.wire.next_ready(), self.core.next_wake()) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
+            if let Some(at) = next {
+                self.now = self.now.max(at);
+            }
+            self.run_instant();
+        }
+    }
+
+    #[test]
+    fn deadline_index_matches_a_full_scan_under_churn_and_loss() {
+        for seed in 1..=3u64 {
+            let mut rig = Rig::new(20, 12, seed);
+            rig.check();
+            let mut rng = SimRng::new(seed).split(0x1DE);
+            for _ in 0..3_000 {
+                let n = rig.core.len() as u64;
+                match rng.uniform_incl(0, 15) {
+                    0..=8 => rig.step(),
+                    // A late poll, as the real-time driver makes after a
+                    // long drain or an oversleep.
+                    9 => {
+                        rig.now += Duration::from_millis(rng.uniform_incl(1, 3_000));
+                        rig.run_instant();
+                    }
+                    10 => rig.core.kill(rig.now, rng.uniform_incl(1, n - 1) as usize),
+                    11 => {
+                        let i = rng.uniform_incl(0, n - 1) as usize;
+                        let counters = rig.wire.counters_mut();
+                        rig.core.restart(rig.now, i, &mut rig.sink, counters);
+                    }
+                    12 => {
+                        let m = member(&mut rng);
+                        let counters = rig.wire.counters_mut();
+                        rig.core.join(rig.now, m, &mut rig.sink, counters);
+                    }
+                    13 | 14 => {
+                        let source = rng.uniform_incl(0, n - 1) as usize;
+                        if rig.core.node(source).is_alive() {
+                            let split = rng.uniform_incl(0, 1) == 1;
+                            let data = bytes::Bytes::from(vec![7u8; 64]);
+                            let counters = rig.wire.counters_mut();
+                            rig.core.start_multicast(
+                                rig.now,
+                                source,
+                                split,
+                                data,
+                                &mut rig.sink,
+                                counters,
+                            );
+                        }
+                    }
+                    _ => {
+                        let loss = [0.0, 0.3, 1.0][rng.uniform_incl(0, 2) as usize];
+                        rig.wire.set_loss_probability(loss);
+                    }
+                }
+                rig.check();
+                rig.ship();
+            }
+        }
+    }
+
+    /// `poll` pumps due nodes in node-index order, whatever order their
+    /// deadlines fall in: every frame one call emits comes out grouped by
+    /// sender, senders ascending. Deterministic wires sequence deliveries
+    /// by emission order, so this order is part of the parity contract.
+    #[test]
+    fn poll_emits_frames_in_node_index_order() {
+        let mut rig = Rig::new(16, 0, 9);
+        while rig.now < SimTime::ZERO + Duration::from_secs(6) {
+            rig.step();
+        }
+        let late = rig.now + Duration::from_secs(2);
+        let due: Vec<usize> = rig
+            .core
+            .deadlines
+            .range(..=(late, usize::MAX))
+            .map(|&(_, i)| i)
+            .collect();
+        assert!(due.len() >= 12, "only {} nodes due", due.len());
+        assert!(
+            !due.is_sorted(),
+            "deadline order {due:?} already matches index order; the test proves nothing"
+        );
+        assert!(rig.sink.is_empty());
+        let counters = rig.wire.counters_mut();
+        assert!(rig.core.poll(late, &mut rig.sink, counters));
+        let senders: Vec<usize> = rig.sink.frames().iter().map(|f| f.from).collect();
+        assert!(
+            senders.is_sorted(),
+            "senders out of index order: {senders:?}"
+        );
+        let mut distinct = senders.clone();
+        distinct.dedup();
+        assert!(
+            distinct.len() >= 12,
+            "only {} nodes emitted",
+            distinct.len()
+        );
     }
 }

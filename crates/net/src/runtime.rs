@@ -271,6 +271,7 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         t.counter_add("wire.frames_dropped", c.frames_dropped);
         t.counter_add("wire.send_backpressure", c.send_backpressure);
         t.counter_add("wire.frames_retransmitted", c.frames_retransmitted);
+        t.counter_add("wire.frames_abandoned", c.frames_abandoned);
         t.counter_add("wire.internal_errors", c.internal_errors);
         t.gauge_set("cluster.nodes", nodes);
         t.gauge_set("cluster.live_nodes", live);

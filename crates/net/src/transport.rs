@@ -47,6 +47,10 @@ pub struct WireCounters {
     pub send_backpressure: u64,
     /// Retransmissions of unacknowledged frames.
     pub frames_retransmitted: u64,
+    /// Acknowledged frames given up on: still unacked after the
+    /// retransmit policy's `max_attempts` transmissions, so dropped from
+    /// the retransmit buffer.
+    pub frames_abandoned: u64,
     /// Internal invariant violations absorbed gracefully instead of
     /// panicking (an ack that failed to encode, a receive length out of
     /// range, a frame for an endpoint that was never bound). Nonzero

@@ -203,6 +203,35 @@ fn total_loss_defeats_even_retransmission() {
     assert_eq!(cluster.node(0).unacked_frames(), 0);
 }
 
+/// Retransmit exhaustion is counted, not silent: on a fully lossy wire
+/// every payload frame the source forwards is sent `max_attempts` times,
+/// then abandoned — one `frames_abandoned` per forward, exported with the
+/// other wire counters.
+#[test]
+fn exhausted_retransmissions_count_as_abandoned_frames() {
+    let mut cluster = converged(16, CamChordProtocol, 5, 1.0);
+    cluster.set_tracer(Box::new(RecordingTracer::with_capacity(1 << 14)));
+    cluster.start_multicast(0, true, Bytes::from(vec![2u8; 64]));
+    cluster.run_for(Duration::from_secs(30));
+    cluster.export_telemetry();
+
+    let c = cluster.counters();
+    let boxed = cluster.take_tracer();
+    let rec = boxed.as_recording().expect("recording tracer installed");
+    let payload_frames = rec.count("multicast_forward") as u64;
+    assert!(payload_frames > 0, "the source forwarded to its children");
+    for i in 0..cluster.len() {
+        assert_eq!(cluster.node(i).unacked_frames(), 0, "node {i}");
+    }
+    assert_eq!(c.frames_abandoned, payload_frames);
+    let retries = u64::from(RetransmitPolicy::default().max_attempts - 1);
+    assert_eq!(c.frames_retransmitted, payload_frames * retries);
+    assert_eq!(
+        rec.registry().counter("wire.frames_abandoned"),
+        c.frames_abandoned
+    );
+}
+
 #[test]
 fn nodes_join_over_the_wire_and_receive_multicasts() {
     let mut cluster = Cluster::converged(
