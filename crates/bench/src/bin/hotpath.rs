@@ -16,9 +16,9 @@
 //!    the acceptance bar (≥ 2× end-to-end trees/sec) reads.
 //!
 //! Plus the **scale** section: group construction, streaming multicast
-//! statistics, and sharded-engine event throughput with peak-RSS readings
-//! at n = 100,000 (always) and n = 1,000,000 (`--scale` flag) — the
-//! million-member tier motivating the struct-of-arrays, sharded-queue, and
+//! statistics, and simulator event throughput with peak-RSS readings at
+//! n = 100,000 (always) and n = 1,000,000 (`--scale` flag) — the
+//! million-member tier motivating the struct-of-arrays and
 //! streaming-statistics work.
 //!
 //! And the **multigroup** section: the cam-pubsub service layer replaying
@@ -29,8 +29,7 @@
 //! And the **net_throughput** section: the cam-net wire loop on real
 //! loopback UDP — frames/second, bytes/second per core, and
 //! wakeups/second for the reactor loop on the multiplexed transport,
-//! against the frozen pre-reactor polling loop, plus the sharded
-//! multi-thread mode's aggregate rate.
+//! against the frozen pre-reactor polling loop.
 //!
 //! Uses `std::time` only (criterion is a dev-dependency, unavailable to
 //! binaries) and a deterministic splitmix64 key stream instead of an RNG,
@@ -52,11 +51,12 @@ use cam_experiments::runner::{
     parallel_sweep, sample_distinct_sources, sample_tree_stats, sample_trees,
 };
 use cam_experiments::Options;
-use cam_overlay::{MemberSet, StaticOverlay};
+use cam_overlay::{Member, MemberSet, StaticOverlay};
 use cam_pubsub::GroupRegistry;
-use cam_ring::Id;
+use cam_ring::{Id, IdSpace};
 use cam_sim::engine::{Actor, ActorId, Context, Simulation};
 use cam_sim::latency::LatencyModel;
+use cam_sim::rng::SimRng;
 use cam_sim::time::Duration;
 use cam_trace::{EventKind, RecordingTracer, Summary, Tracer};
 use cam_workload::{BandwidthDist, CapacityAssignment, GroupOp, MultiGroupScenario, Scenario};
@@ -243,7 +243,7 @@ fn bench_tree_build(n: usize, trees: usize, reps: usize) -> TreeRow {
 
 /// A fixed-fanout token-passing actor for the event-throughput bench: each
 /// message carries a remaining hop budget; non-zero budgets are forwarded
-/// to the precomputed neighbor. Keeps the sharded queue under steady
+/// to the precomputed neighbor. Keeps the event queue under steady
 /// multi-actor load with zero allocation per event.
 struct TokenActor {
     next: ActorId,
@@ -269,15 +269,12 @@ struct ScaleRow {
     mean_throughput_kbps: f64,
     events: u64,
     events_per_sec: f64,
-    mt_threads: usize,
-    mt_events_per_sec: f64,
-    mt_speedup: f64,
     mem: MemReading,
 }
 
 /// The scale tier: builds an `n`-member group in a `2^bits` space, runs the
 /// streaming multicast sweep (no tree ever materialized), then drives the
-/// sharded event queue with `n` simulation actors under a token-passing
+/// simulator's event queue with `n` actors under a token-passing
 /// load. Records wall time, event throughput, and the process memory
 /// reading at the end of the row.
 fn bench_scale(n: usize, bits: u32, sources: usize) -> ScaleRow {
@@ -295,8 +292,8 @@ fn bench_scale(n: usize, bits: u32, sources: usize) -> ScaleRow {
     assert_eq!(agg.incomplete, 0, "scale sweep produced incomplete trees");
     let mean_throughput_kbps = agg.throughput_kbps.mean();
 
-    // Event throughput: n actors in a ring (stride keeps successive events
-    // on different shards), 4096 concurrent tokens of 256 hops each.
+    // Event throughput: n actors in a ring, 4096 concurrent tokens of 256
+    // hops each, started at strided positions around the ring.
     let tokens = 4096.min(n);
     let hops = 256u32;
     let mut sim: Simulation<TokenActor> =
@@ -319,35 +316,6 @@ fn bench_scale(n: usize, bits: u32, sources: usize) -> ScaleRow {
     let events = sim.stats().delivered;
     assert_eq!(events, tokens as u64 * u64::from(hops + 1));
 
-    // The same token workload through the multi-threaded engine mode
-    // (crates/sim/src/mt.rs): constant latency makes every round a
-    // `tokens`-wide same-instant batch, the MT mode's best case. One
-    // worker per queue shard (K = 8), capped by the hardware. Parity with
-    // the serial run is asserted, not assumed.
-    let mt_threads = rss::hardware_threads().clamp(1, 8);
-    let mut mt_sim: Simulation<TokenActor> =
-        Simulation::new(9, LatencyModel::Constant(Duration::from_micros(100)));
-    for i in 0..n {
-        mt_sim.add_actor(TokenActor {
-            next: ActorId((i + 1) % n),
-            received: 0,
-        });
-    }
-    let t0 = Instant::now();
-    for t in 0..tokens {
-        let start = ids[(t * 997) % n];
-        mt_sim.post(start, start, hops);
-    }
-    mt_sim.run_to_completion_mt(mt_threads);
-    let mt_seconds = t0.elapsed().as_secs_f64();
-    assert_eq!(mt_sim.stats(), sim.stats(), "MT run diverged from serial");
-    for (i, &id) in ids.iter().enumerate() {
-        debug_assert_eq!(
-            mt_sim.actor(id).map(|a| a.received),
-            sim.actor(ids[i]).map(|a| a.received),
-        );
-    }
-
     let row = ScaleRow {
         n,
         bits,
@@ -357,20 +325,14 @@ fn bench_scale(n: usize, bits: u32, sources: usize) -> ScaleRow {
         mean_throughput_kbps,
         events,
         events_per_sec: events as f64 / sim_seconds,
-        mt_threads,
-        mt_events_per_sec: events as f64 / mt_seconds,
-        mt_speedup: sim_seconds / mt_seconds,
         mem: rss::read_memory(),
     };
     eprintln!(
-        "scale             n={:>7}: build {:.1}s, {:.2} trees/s streaming, {:.2} Mevents/s serial, {:.2} Mevents/s mt×{} ({:.2}x), peak RSS {} MB",
+        "scale             n={:>7}: build {:.1}s, {:.2} trees/s streaming, {:.2} Mevents/s, peak RSS {} MB",
         row.n,
         row.build_seconds,
         row.stream_trees_per_sec,
         row.events_per_sec / 1e6,
-        row.mt_events_per_sec / 1e6,
-        row.mt_threads,
-        row.mt_speedup,
         row.mem
             .peak_rss_mb
             .map(|m| format!("{m:.0}"))
@@ -552,11 +514,23 @@ struct NetThroughputResult {
     mux: NetRunRow,
     legacy: NetRunRow,
     reactor_vs_legacy_speedup: f64,
-    sharded_shards: usize,
-    sharded_nodes_per_shard: usize,
-    sharded_frames_per_sec: f64,
-    sharded_rounds_delivered: usize,
-    sharded_rounds: usize,
+}
+
+/// Deterministic unique members with the paper's capacity range.
+fn members(space: IdSpace, n: usize, seed: u64) -> Vec<Member> {
+    let mut rng = SimRng::new(seed).split(0x5AAD);
+    let mut ids = std::collections::HashSet::with_capacity(n);
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        let id = rng.uniform_incl(0, space.size() - 1);
+        if ids.insert(id) {
+            out.push(Member::with_capacity(
+                Id(id),
+                rng.uniform_incl(2, 10) as u32,
+            ));
+        }
+    }
+    out
 }
 
 /// The wire-loop section: an `nodes`-node cluster on real loopback UDP
@@ -564,8 +538,7 @@ struct NetThroughputResult {
 /// Measured twice over the same workload — the reactor loop with the
 /// multiplexed single-socket transport (deadline sleeps, batched recv,
 /// pooled buffers) against the frozen pre-reactor loop with per-node
-/// sockets (fixed 500 µs polling grid) — plus the sharded multi-thread
-/// mode. `frames_per_sec` counts decoded frames (payload + ack +
+/// sockets (fixed 500 µs polling grid). `frames_per_sec` counts decoded frames (payload + ack +
 /// maintenance); both loops run single-threaded, so bytes/s is per core
 /// as-is. Wakeups are only accounted by the reactor loop: the legacy
 /// grid's rate is its polling frequency by construction (2000/s).
@@ -576,11 +549,10 @@ fn bench_net_throughput(
 ) -> NetThroughputResult {
     use cam_net::legacy::LegacyCluster;
     use cam_net::{Cluster, MuxUdpTransport, RetransmitPolicy, UdpTransport};
-    use cam_ring::IdSpace;
 
     let seed = 0xBE7C;
     let space = IdSpace::PAPER;
-    let ring = cam_net::sharded::members(space, nodes, seed);
+    let ring = members(space, nodes, seed);
     let payload = bytes::Bytes::from(vec![0xB0u8; payload_bytes]);
 
     // Loopback throughput at saturation is scheduler-noisy; like the
@@ -663,32 +635,6 @@ fn bench_net_throughput(
         }
     });
 
-    // Sharded mode: the same node count split across worker threads, each
-    // shard an independent ring on its own socket. Frames/s here spans
-    // each shard's whole lifecycle (convergence included), aggregated over
-    // the wall time of the slowest shard.
-    let shards = 4usize;
-    let nodes_per_shard = nodes / shards;
-    let shard_rounds = rounds / shards;
-    let specs: Vec<cam_net::ShardSpec<cam_core::cam_chord::CamChordProtocol>> = (0..shards)
-        .map(|shard| cam_net::ShardSpec {
-            shard,
-            nodes: nodes_per_shard,
-            rounds: shard_rounds,
-            payload_len: payload_bytes,
-            seed,
-            protocol: cam_core::cam_chord::CamChordProtocol,
-            maintenance: Duration::from_millis(100),
-            warmup: Duration::from_millis(600),
-            round_timeout: Duration::from_secs(10),
-        })
-        .collect();
-    let epoch = Instant::now();
-    let outcomes = cam_net::run_sharded(specs);
-    let sharded_secs = epoch.elapsed().as_secs_f64();
-    let sharded_frames: u64 = outcomes.iter().map(|o| o.counters.frames_decoded).sum();
-    let sharded_delivered: usize = outcomes.iter().map(|o| o.rounds_delivered).sum();
-
     NetThroughputResult {
         nodes,
         payload_bytes,
@@ -696,11 +642,6 @@ fn bench_net_throughput(
         reactor_vs_legacy_speedup: mux.frames_per_sec / legacy.frames_per_sec,
         mux,
         legacy,
-        sharded_shards: shards,
-        sharded_nodes_per_shard: nodes_per_shard,
-        sharded_frames_per_sec: sharded_frames as f64 / sharded_secs,
-        sharded_rounds_delivered: sharded_delivered,
-        sharded_rounds: shards * shard_rounds,
     }
 }
 
@@ -799,18 +740,16 @@ fn main() {
         multigroup.groups,
     );
 
-    // The wire loop: reactor-on-mux vs the frozen legacy loop, plus the
-    // sharded multi-thread mode, all over real loopback UDP.
+    // The wire loop: reactor-on-mux vs the frozen legacy loop, both over
+    // real loopback UDP.
     let net = clock.time("net_throughput", || bench_net_throughput(64, 400, 256));
     eprintln!(
-        "net_throughput    n={:>6}: mux {:.0} frames/s ({:.0} wakeups/s), legacy {:.0} frames/s ({:.2}x), sharded {:.0} frames/s over {} threads",
+        "net_throughput    n={:>6}: mux {:.0} frames/s ({:.0} wakeups/s), legacy {:.0} frames/s ({:.2}x)",
         net.nodes,
         net.mux.frames_per_sec,
         net.mux.wakeups_per_sec,
         net.legacy.frames_per_sec,
         net.reactor_vs_legacy_speedup,
-        net.sharded_frames_per_sec,
-        net.sharded_shards,
     );
     assert_eq!(
         net.mux.rounds_delivered, net.rounds,
@@ -867,7 +806,7 @@ fn main() {
     json.push_str("  \"scale\": [\n");
     for (i, r) in scale.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"n\": {}, \"bits\": {}, \"sources\": {}, \"build_seconds\": {}, \"stream_trees_per_sec\": {}, \"mean_throughput_kbps\": {}, \"events\": {}, \"events_per_sec\": {}, \"mt_threads\": {}, \"mt_events_per_sec\": {}, \"mt_speedup\": {}, \"rss_mb\": {}, \"peak_rss_mb\": {}}}{}\n",
+            "    {{\"n\": {}, \"bits\": {}, \"sources\": {}, \"build_seconds\": {}, \"stream_trees_per_sec\": {}, \"mean_throughput_kbps\": {}, \"events\": {}, \"events_per_sec\": {}, \"rss_mb\": {}, \"peak_rss_mb\": {}}}{}\n",
             r.n,
             r.bits,
             r.sources,
@@ -876,9 +815,6 @@ fn main() {
             num(r.mean_throughput_kbps),
             r.events,
             num(r.events_per_sec),
-            r.mt_threads,
-            num(r.mt_events_per_sec),
-            num(r.mt_speedup),
             mem_num(r.mem.rss_mb),
             mem_num(r.mem.peak_rss_mb),
             if i + 1 < scale.len() { "," } else { "" }
@@ -938,16 +874,8 @@ fn main() {
         net.legacy.rounds_delivered
     ));
     json.push_str(&format!(
-        "    \"reactor_vs_legacy_speedup\": {},\n",
+        "    \"reactor_vs_legacy_speedup\": {}\n",
         num(net.reactor_vs_legacy_speedup)
-    ));
-    json.push_str(&format!(
-        "    \"sharded\": {{\"shards\": {}, \"nodes_per_shard\": {}, \"frames_per_sec\": {}, \"rounds_delivered\": {}, \"rounds\": {}}}\n",
-        net.sharded_shards,
-        net.sharded_nodes_per_shard,
-        num(net.sharded_frames_per_sec),
-        net.sharded_rounds_delivered,
-        net.sharded_rounds
     ));
     json.push_str("  }\n");
     json.push_str("}\n");

@@ -1,5 +1,5 @@
-//! The concurrency rule family: dataflow-aware checks that certify the
-//! multi-threaded sharded event loop.
+//! The concurrency rule family: dataflow-aware checks on the workspace's
+//! threaded code (the parallel sweeps) and on the simulator's pop order.
 //!
 //! Safe Rust already rules out data races; these rules enforce something
 //! stricter — a *discipline*. State may cross a thread boundary only
@@ -566,15 +566,17 @@ pub fn check_ledger_encapsulation(ctx: &FileCtx) -> Vec<Finding> {
 
 // ----------------------------------------------------- shard_merge_purity
 
+/// The type whose methods own the simulator's event queue and so decide
+/// the pop order: the roots of the `shard_merge_purity` walk.
+const POP_ORDER_OWNER: &str = "Simulation";
+
 /// The `shard_merge_purity` rule over a workspace: every function
-/// reachable from `ShardedEventQueue` pop-order code must be a pure
-/// function of queue state — no wall clock, no ambient entropy.
+/// reachable from a method of `Simulation` must be a pure function
+/// of queue state — no wall clock, no ambient entropy.
 /// Files already covered by the `determinism` rule report ambient reads
 /// there (once), so this rule only speaks for files outside that scope.
 pub fn check_shard_merge_purity(ws: &Workspace<'_>) -> Vec<Finding> {
-    let mut owners = ws.holders_of("ShardedEventQueue");
-    owners.push("ShardedEventQueue".to_string());
-    let roots = ws.fns_with_owner(|o| owners.iter().any(|n| n == o));
+    let roots = ws.fns_with_owner(|o| o == POP_ORDER_OWNER);
     if roots.is_empty() {
         return Vec::new();
     }
@@ -601,8 +603,8 @@ pub fn check_shard_merge_purity(ws: &Workspace<'_>) -> Vec<Finding> {
                     Rule::ShardMergePurity,
                     format!(
                         "`{}` reads ambient `{}` but is reachable from \
-                         `ShardedEventQueue` pop-order code; the merge must be a pure \
-                         function of queue state or shard order becomes \
+                         `{POP_ORDER_OWNER}` pop-order code; the pop order must be a \
+                         pure function of queue state or event order becomes \
                          schedule-dependent",
                         f.name, t.text
                     ),

@@ -41,8 +41,8 @@ const PANIC_FREE_CRATES: &[&str] = &["net"];
 
 /// Crates that spawn threads (or plausibly will): every spawn closure in
 /// their `src/` must route captured state through an approved channel.
-/// `net` joined the set when the sharded reactor mode landed: its worker
-/// threads must build each reactor core locally, never capture one.
+/// `net` is in the set so that any worker thread it grows must build its
+/// reactor core locally, never capture one.
 const THREADED_CRATES: &[&str] = &["core", "sim", "overlay", "bench", "experiments", "net"];
 
 /// The crate that owns `CapacityLedger`; raw ledger field access anywhere

@@ -12,8 +12,8 @@
 //! construct yields no items rather than an error), because anything truly
 //! malformed is `rustc`'s problem. What it *does* recover is enough for
 //! dataflow-style reasoning: function spans with owners, `static` items,
-//! struct field tables, `let`/`for`/parameter bindings with mutability,
-//! and `spawn(...)` closure sites with their parameter lists and bodies.
+//! `let`/`for`/parameter bindings with mutability, and `spawn(...)`
+//! closure sites with their parameter lists and bodies.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -21,7 +21,7 @@ use crate::lexer::{Tok, TokKind};
 /// token spans of its signature and body.
 #[derive(Debug, Clone)]
 pub struct FnDef {
-    /// The bare function name (`pop`, not `ShardedEventQueue::pop`).
+    /// The bare function name (`run_until`, not `Simulation::run_until`).
     pub name: String,
     /// The `Self` type of the enclosing `impl`, if any.
     pub owner: Option<String>,
@@ -49,18 +49,6 @@ pub struct StaticDef {
     pub ty: String,
 }
 
-/// A `struct` definition and the token span of its field block.
-#[derive(Debug, Clone)]
-pub struct StructDef {
-    /// The struct name.
-    pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: u32,
-    /// Token span `[from, to)` of the braced field block, exclusive of the
-    /// braces; empty for unit/tuple structs.
-    pub body: (usize, usize),
-}
-
 /// Everything [`parse`] recovers from one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
@@ -68,8 +56,6 @@ pub struct ParsedFile {
     pub fns: Vec<FnDef>,
     /// `static` items, in source order.
     pub statics: Vec<StaticDef>,
-    /// `struct` definitions, in source order.
-    pub structs: Vec<StructDef>,
 }
 
 /// Index of the token closing the bracket opened at `open` (same depth,
@@ -206,26 +192,6 @@ pub fn parse(toks: &[Tok]) -> ParsedFile {
                             ty,
                         });
                     }
-                }
-            }
-            "struct" => {
-                if let Some(name_tok) = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident) {
-                    let d = t.depth;
-                    let mut body = (i + 2, i + 2);
-                    for j in i + 2..toks.len() {
-                        if toks[j].depth == d && toks[j].text == ";" {
-                            break; // unit or tuple struct
-                        }
-                        if toks[j].depth == d && toks[j].text == "{" {
-                            body = (j + 1, matching_close(toks, j));
-                            break;
-                        }
-                    }
-                    out.structs.push(StructDef {
-                        name: name_tok.text.clone(),
-                        line: t.line,
-                        body,
-                    });
                 }
             }
             _ => {}
@@ -560,8 +526,6 @@ mod tests {
                 ("free_fn".into(), None),
             ]
         );
-        assert_eq!(p.structs.len(), 1);
-        assert_eq!(p.structs[0].name, "Q");
     }
 
     #[test]

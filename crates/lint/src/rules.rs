@@ -41,8 +41,9 @@ pub enum Rule {
     /// `CapacityLedger` state may only change through its own methods;
     /// raw field writes outside `pubsub/src` are findings.
     LedgerEncapsulation,
-    /// Functions reachable from `ShardedEventQueue` pop-order code must
-    /// not read ambient state (wall clock, OS entropy).
+    /// Functions reachable from the simulator's pop-order code (the
+    /// methods of `Simulation`) must not read ambient state (wall clock,
+    /// OS entropy).
     ShardMergePurity,
     /// Suppression-grammar violations (missing reason, malformed, unused).
     Suppression,
@@ -385,15 +386,7 @@ const SAFE_MAP_METHODS: &[&str] = &[
 /// Collections whose iteration order is defined, so collecting into them
 /// discharges the hash-order hazard. `RecordingTracer` qualifies: it is an
 /// append-only ring whose events replay in insertion (`seq`) order.
-/// `ShardedEventQueue` qualifies too: its pops come out in global
-/// `(at, seq)` order no matter how pushes were interleaved across shards.
-const ORDERED_SINKS: &[&str] = &[
-    "BTreeMap",
-    "BTreeSet",
-    "BinaryHeap",
-    "RecordingTracer",
-    "ShardedEventQueue",
-];
+const ORDERED_SINKS: &[&str] = &["BTreeMap", "BTreeSet", "BinaryHeap", "RecordingTracer"];
 
 /// Re-keyed hash collections: collecting into them neither preserves nor
 /// launders order, so the hazard moves to wherever *they* are iterated.

@@ -1,8 +1,8 @@
 //! A cross-crate symbol table and name-based call graph.
 //!
 //! The `shard_merge_purity` rule needs to know which functions are
-//! *reachable* from the sharded event queue's pop-order machinery —
-//! including functions in other files and other crates. With no resolver
+//! *reachable* from the simulator's pop-order machinery — including
+//! functions in other files and other crates. With no resolver
 //! and no type information, calls are linked by name: a call site `foo(…)`
 //! or `recv.foo(…)` edges to every known `fn foo`. That over-approximates
 //! reachability (exactly what a purity check wants: false edges can only
@@ -105,24 +105,6 @@ impl<'a> Workspace<'a> {
             for (gi, f) in self.parsed(fi).fns.iter().enumerate() {
                 if f.owner.as_deref().is_some_and(&pred) {
                     out.push((fi, gi));
-                }
-            }
-        }
-        out
-    }
-
-    /// Names of structs (any file) with a field whose type mentions
-    /// `type_name` — the "holder types" of e.g. `ShardedEventQueue`.
-    pub fn holders_of(&self, type_name: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        for (fi, _) in self.files.iter().enumerate() {
-            let toks = self.toks(fi);
-            for s in &self.parsed(fi).structs {
-                let mentions = toks[s.body.0..s.body.1.min(toks.len())]
-                    .iter()
-                    .any(|t| t.kind == TokKind::Ident && t.text == type_name);
-                if mentions && !out.contains(&s.name) {
-                    out.push(s.name.clone());
                 }
             }
         }
@@ -233,16 +215,5 @@ mod tests {
         let ws = Workspace::new(vec![(&a, false), (&b, false)]);
         let reach = ws.reachable(&ws.fns_with_owner(|o| o == "Q"));
         assert_eq!(reach.len(), 1, "`new` must not edge into b.rs");
-    }
-
-    #[test]
-    fn holders_find_structs_embedding_a_type() {
-        let a = ctx(
-            "a.rs",
-            "pub struct Simulation { queue: ShardedEventQueue, now: u64 }\npub struct Free { x: u64 }",
-        );
-        let ws = Workspace::new(vec![(&a, false)]);
-        assert_eq!(ws.holders_of("ShardedEventQueue"), vec!["Simulation"]);
-        assert!(ws.holders_of("Missing").is_empty());
     }
 }

@@ -1,13 +1,13 @@
 //! Failing fixture for `shard_merge_purity`: a helper reachable from
-//! `ShardedEventQueue::pop` stamps merge decisions with the wall clock
-//! and another falls back to `SystemTime` — shard order now depends on
-//! the host scheduler, not queue state.
+//! `Simulation::pop` stamps merge decisions with the wall clock and
+//! another falls back to `SystemTime` — pop order now depends on the host
+//! scheduler, not queue state.
 
-pub struct ShardedEventQueue {
+pub struct Simulation {
     heads: Vec<Option<(u64, u64)>>,
 }
 
-impl ShardedEventQueue {
+impl Simulation {
     pub fn pop(&mut self) -> Option<(u64, u64)> {
         let winner = merge_heads(&self.heads)?;
         self.heads[winner].take()

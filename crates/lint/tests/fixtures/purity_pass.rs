@@ -1,12 +1,12 @@
 //! Passing fixture for `shard_merge_purity`: everything reachable from
-//! the queue's pop-order code is a pure function of queue state — the
+//! the simulator's pop-order code is a pure function of queue state — the
 //! virtual clock arrives as an argument, never from the OS.
 
-pub struct ShardedEventQueue {
+pub struct Simulation {
     heads: Vec<Option<(u64, u64)>>,
 }
 
-impl ShardedEventQueue {
+impl Simulation {
     pub fn pop(&mut self) -> Option<(u64, u64)> {
         let winner = merge_heads(&self.heads)?;
         self.heads[winner].take()

@@ -1,13 +1,18 @@
 //! Sharded-queue fixture: the deterministic merge idiom. Shard heads are
 //! scanned in `Vec` index order, the actor directory is only probed by
 //! key, and hash-ordered entries are laundered (sorted, reduced with an
-//! order-insensitive terminal, or collected into the `(at, seq)`-ordered
-//! queue) before they can steer pop order. Expected: zero findings.
+//! order-insensitive terminal, or collected into an `(at, seq)`-ordered
+//! `BinaryHeap`) before they can steer pop order. Expected: zero findings.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use cam_sim::shard::{EventKey, ShardedEventQueue};
+/// Virtual time, then a sequence number unique across shards.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct EventKey {
+    at: u64,
+    seq: u64,
+}
 
 pub struct Mailroom {
     shards: Vec<BinaryHeap<Reverse<EventKey>>>,
@@ -40,14 +45,14 @@ impl Mailroom {
         self.directory.values().copied().count()
     }
 
-    /// Collecting into the sharded queue defines the order: pops come out
-    /// in global `(at, seq)` order no matter how the hash map interleaved
-    /// the pushes.
-    pub fn requeue(&self, pending: &HashMap<usize, EventKey>) -> ShardedEventQueue {
+    /// Collecting into a binary heap defines the order: pops come out in
+    /// `(at, seq)` order no matter how the hash map interleaved the
+    /// pushes.
+    pub fn requeue(&self, pending: &HashMap<usize, EventKey>) -> BinaryHeap<Reverse<EventKey>> {
         pending
             .iter()
-            .map(|(&actor, &key)| (actor, key))
-            .collect::<ShardedEventQueue>()
+            .map(|(_, &key)| Reverse(key))
+            .collect::<BinaryHeap<_>>()
     }
 
     /// Collect-then-sort launders the directory's hash order.

@@ -43,10 +43,10 @@ fn determinism_fail_fixture_flags_every_leak() {
     assert!(f.iter().any(|x| x.message.contains("`Instant`")));
 }
 
-/// The sharded event-queue merge is in determinism scope: an index-order
+/// A sharded event-queue merge is in determinism scope: an index-order
 /// scan over `Vec` shard heads with keyed directory lookups is clean, and
-/// collecting hash-ordered entries into a `ShardedEventQueue` discharges
-/// the hazard because pops are `(at, seq)`-ordered regardless of pushes.
+/// collecting hash-ordered entries into a `BinaryHeap` discharges the
+/// hazard because pops are `(at, seq)`-ordered regardless of pushes.
 #[test]
 fn shard_merge_pass_fixture_is_clean() {
     let f = run(

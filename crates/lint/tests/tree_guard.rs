@@ -113,11 +113,11 @@ fn new_variant_without_codec_arms_fails_the_tree() {
 }
 
 #[test]
-fn injected_mutable_capture_in_shard_code_fails_the_tree() {
+fn injected_mutable_capture_in_engine_code_fails_the_tree() {
     let dst = fresh_copy("thread");
-    let path = dst.join("crates/sim/src/shard.rs");
-    let mut src = fs::read_to_string(&path).expect("read shard.rs");
-    // The exact regression the MT engine must never grow: a spawn closure
+    let path = dst.join("crates/sim/src/engine.rs");
+    let mut src = fs::read_to_string(&path).expect("read engine.rs");
+    // The exact regression threaded code must never grow: a spawn closure
     // accumulating into a `let mut` captured by reference.
     src.push_str(
         "\npub fn cam_lint_probe(vals: &[u64]) -> u64 {\n    \
@@ -131,7 +131,7 @@ fn injected_mutable_capture_in_shard_code_fails_the_tree() {
     let findings = lint_tree(&dst).expect("lint succeeds");
     assert!(
         findings.iter().any(|f| f.rule == Rule::ThreadSharedState
-            && f.file.ends_with("shard.rs")
+            && f.file.ends_with("sim/src/engine.rs")
             && f.message.contains("`total`")),
         "a mutable capture in a spawn closure must be flagged; got:\n{}",
         render(&findings)

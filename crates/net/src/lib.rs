@@ -18,8 +18,8 @@
 //! * [`udp`] — [`udp::UdpTransport`], one real non-blocking UDP socket
 //!   per node on loopback, with queue-and-retry send backpressure.
 //! * [`mux`] — [`mux::MuxUdpTransport`], hundreds of nodes multiplexed
-//!   onto *one* socket with a 4-byte destination envelope, readiness
-//!   waits, and routable endpoints for cross-process sharding.
+//!   onto *one* socket with a 4-byte destination envelope and
+//!   readiness waits.
 //! * [`reactor`] — [`reactor::ReactorCore`], the pure poll-style
 //!   protocol state machine: `handle_frame(now, ..)` / `poll(now, ..)`
 //!   / `next_wake()`, with every I/O effect emitted through a
@@ -29,9 +29,6 @@
 //!   core: batched recv draining, deadline-computed sleeps (wake exactly
 //!   at `min(next timer, next RTO, socket readable)`), and scheduler
 //!   accounting in [`runtime::LoopStats`].
-//! * [`sharded`] — the multi-thread mode: one reactor per worker
-//!   thread, state owned thread-locally, certified by cam-lint's
-//!   concurrency rules.
 //! * [`legacy`] — the pre-reactor event loop, frozen for the parity
 //!   suite and throughput comparisons.
 //!
@@ -46,7 +43,6 @@ pub mod legacy;
 pub mod mux;
 pub mod reactor;
 pub mod runtime;
-pub mod sharded;
 pub mod transport;
 pub mod udp;
 
@@ -57,6 +53,5 @@ pub use codec::{
 pub use mux::MuxUdpTransport;
 pub use reactor::{FrameSink, ReactorCore};
 pub use runtime::{Cluster, LoopStats, NodeRuntime, RetransmitPolicy};
-pub use sharded::{run_shard, run_sharded, ShardOutcome, ShardSpec};
 pub use transport::{InMemoryTransport, OutFrame, Transport, WireCounters};
 pub use udp::UdpTransport;

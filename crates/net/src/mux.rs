@@ -3,12 +3,9 @@
 //! [`MuxUdpTransport`] hosts all `endpoints` of a cluster on a single
 //! non-blocking loopback socket. Each datagram carries a 4-byte
 //! big-endian destination-endpoint envelope ahead of the codec frame —
-//! a transport-level detail the wire codec never sees. Endpoint routes
-//! default to the transport's own socket (the single-process mode that
-//! runs hundreds of nodes on one thread); [`MuxUdpTransport::set_route`]
-//! points an endpoint at another process's mux socket, which is how the
-//! sharded multi-thread mode (`crate::sharded`) would be wired across a
-//! real fabric.
+//! a transport-level detail the wire codec never sees. Every datagram is
+//! addressed to the transport's own socket, so one thread runs hundreds
+//! of nodes.
 //!
 //! One socket is what makes **readiness** expressible with std alone (the
 //! crate forbids `unsafe`, so no raw `epoll` over a socket set):
@@ -37,7 +34,7 @@ use crate::udp::{MAX_BACKPRESSURE, RECV_POOL_CAP};
 const ENVELOPE_LEN: usize = 4;
 
 /// A frame parked awaiting socket writability (`bytes` includes the
-/// envelope; the route is resolved again at retry time).
+/// envelope).
 #[derive(Debug)]
 struct Queued {
     to: usize,
@@ -49,8 +46,9 @@ struct Queued {
 pub struct MuxUdpTransport {
     socket: UdpSocket,
     local: SocketAddr,
-    /// Destination socket per endpoint; defaults to `local` everywhere.
-    routes: Vec<SocketAddr>,
+    /// Endpoints hosted on the socket; envelopes addressing any other
+    /// index are rejected.
+    endpoints: usize,
     counters: WireCounters,
     /// Frames received during a blocking `wait`, awaiting `poll`.
     ready: VecDeque<(usize, Vec<u8>)>,
@@ -66,8 +64,7 @@ pub struct MuxUdpTransport {
 
 impl MuxUdpTransport {
     /// Binds one non-blocking socket on `127.0.0.1:0` hosting `endpoints`
-    /// endpoints, all initially routed back to itself (single-process
-    /// loopback mode).
+    /// endpoints.
     pub fn bind(endpoints: usize) -> std::io::Result<Self> {
         let socket = UdpSocket::bind("127.0.0.1:0")?;
         socket.set_nonblocking(true)?;
@@ -75,7 +72,7 @@ impl MuxUdpTransport {
         Ok(MuxUdpTransport {
             socket,
             local,
-            routes: vec![local; endpoints],
+            endpoints,
             counters: WireCounters::default(),
             ready: VecDeque::new(),
             pending: VecDeque::new(),
@@ -85,21 +82,9 @@ impl MuxUdpTransport {
         })
     }
 
-    /// The socket address every locally-routed endpoint shares.
+    /// The socket address every endpoint shares.
     pub fn local_addr(&self) -> SocketAddr {
         self.local
-    }
-
-    /// Routes `endpoint` to another mux socket (e.g. a different shard
-    /// process). Returns `false` if `endpoint` is out of range.
-    pub fn set_route(&mut self, endpoint: usize, addr: SocketAddr) -> bool {
-        match self.routes.get_mut(endpoint) {
-            Some(slot) => {
-                *slot = addr;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Frames currently parked awaiting socket writability.
@@ -110,12 +95,12 @@ impl MuxUdpTransport {
     /// One send attempt of an already-enveloped datagram. Returns whether
     /// the frame was consumed (sent, or counted as lost).
     fn offer(&mut self, to: usize, bytes: &[u8], queue_on_block: bool) -> bool {
-        let Some(&dest) = self.routes.get(to) else {
+        if to >= self.endpoints {
             self.counters.internal_errors += 1;
             self.counters.frames_dropped += 1;
             return true;
-        };
-        match self.socket.send_to(bytes, dest) {
+        }
+        match self.socket.send_to(bytes, self.local) {
             Ok(_) => true,
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 if queue_on_block {
@@ -166,7 +151,7 @@ impl MuxUdpTransport {
             return None;
         };
         let to = u32::from_be_bytes(envelope) as usize;
-        if to >= self.routes.len() {
+        if to >= self.endpoints {
             self.counters.frames_rejected += 1;
             return None;
         }
@@ -180,7 +165,7 @@ impl MuxUdpTransport {
 
 impl Transport for MuxUdpTransport {
     fn endpoints(&self) -> usize {
-        self.routes.len()
+        self.endpoints
     }
 
     fn send(&mut self, _now: SimTime, _from: usize, to: usize, frame: &[u8]) {
@@ -398,25 +383,12 @@ mod tests {
     }
 
     #[test]
-    fn routes_carry_frames_to_another_mux() {
-        // Two mux sockets modeling two shard processes sharing an
-        // endpoint namespace: endpoints 0..2 live on `a`, 2..4 on `b`.
-        let mut a = MuxUdpTransport::bind(4).expect("bind a");
-        let mut b = MuxUdpTransport::bind(4).expect("bind b");
-        a.set_route(2, b.local_addr());
-        a.set_route(3, b.local_addr());
-        a.send(SimTime::ZERO, 0, 2, b"cross-shard");
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        let mut got = None;
-        while got.is_none() && std::time::Instant::now() < deadline {
-            got = b.poll(SimTime::ZERO);
-            if got.is_none() {
-                b.wait(std::time::Duration::from_millis(1));
-            }
-        }
-        let (to, frame) = got.expect("frame crossed sockets");
-        assert_eq!((to, frame.as_slice()), (2, b"cross-shard".as_slice()));
-        assert!(a.poll(SimTime::ZERO).is_none(), "nothing looped back to a");
+    fn sends_to_unknown_endpoints_are_counted_drops() {
+        let mut t = MuxUdpTransport::bind(4).expect("bind mux");
+        t.send(SimTime::ZERO, 0, 4, b"nobody home");
+        assert_eq!(t.counters().frames_dropped, 1);
+        assert_eq!(t.counters().internal_errors, 1);
+        assert!(t.poll(SimTime::ZERO).is_none(), "nothing went on the wire");
     }
 
     #[test]

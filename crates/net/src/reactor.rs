@@ -27,13 +27,11 @@
 //! That contract — `poll(now) → frames out` plus `next_wake() → wake-at`
 //! — is what lets one protocol core serve every host with zero
 //! divergence: the virtual-time [`Cluster`](crate::runtime::Cluster) over
-//! the deterministic in-memory wire (sim and chaos parity), the same
+//! the deterministic in-memory wire (sim and chaos parity), and the same
 //! `Cluster` over real UDP where the wire loop sleeps *exactly* until
-//! `min(next_wake, socket readable, run deadline)` instead of spinning,
-//! and the sharded multi-thread mode ([`crate::sharded`]) where each
-//! worker owns one core outright. The `atm0s-sdn` exemplar's SAN-I/O
-//! architecture is the model: protocol logic is written once, transports
-//! are pluggable shells.
+//! `min(next_wake, socket readable, run deadline)` instead of spinning.
+//! The `atm0s-sdn` exemplar's SAN-I/O architecture is the model:
+//! protocol logic is written once, transports are pluggable shells.
 //!
 //! Outgoing frames are encoded into buffers drawn from the sink's pool
 //! ([`FrameSink::alloc`]) and recycled after the transport ships them, so

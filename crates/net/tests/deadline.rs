@@ -13,10 +13,11 @@ use bytes::Bytes;
 use cam_core::cam_chord::CamChordProtocol;
 use cam_net::mux::MuxUdpTransport;
 use cam_net::runtime::{Cluster, RetransmitPolicy};
+use cam_net::transport::{Transport, WireCounters};
 use cam_overlay::Member;
 use cam_ring::{Id, IdSpace};
 use cam_sim::rng::SimRng;
-use cam_sim::Duration;
+use cam_sim::{Duration, SimTime};
 use cam_trace::{EventKind, RecordingTracer};
 
 const SPACE: IdSpace = IdSpace::PAPER;
@@ -46,12 +47,84 @@ fn members(n: usize, seed: u64) -> Vec<Member> {
     out
 }
 
+/// A mux socket whose wire to one endpoint can be cut: frames sent to
+/// `sunk` vanish before they reach the socket, so no frame-layer ack ever
+/// comes back — the same failure a crashed remote host produces.
+struct Blackholed {
+    inner: MuxUdpTransport,
+    sunk: Option<usize>,
+}
+
+impl Transport for Blackholed {
+    fn endpoints(&self) -> usize {
+        self.inner.endpoints()
+    }
+
+    fn send(&mut self, now: SimTime, from: usize, to: usize, frame: &[u8]) {
+        if self.sunk != Some(to) {
+            self.inner.send(now, from, to, frame);
+        }
+    }
+
+    fn poll(&mut self, now: SimTime) -> Option<(usize, Vec<u8>)> {
+        self.inner.poll(now)
+    }
+
+    fn poll_batch(
+        &mut self,
+        now: SimTime,
+        max: usize,
+        out: &mut Vec<(usize, Vec<u8>)>,
+    ) -> usize {
+        self.inner.poll_batch(now, max, out)
+    }
+
+    fn next_ready(&self) -> Option<SimTime> {
+        self.inner.next_ready()
+    }
+
+    fn is_virtual(&self) -> bool {
+        self.inner.is_virtual()
+    }
+
+    fn counters(&self) -> WireCounters {
+        self.inner.counters()
+    }
+
+    fn counters_mut(&mut self) -> &mut WireCounters {
+        self.inner.counters_mut()
+    }
+
+    fn recycle(&mut self, buf: Vec<u8>) {
+        self.inner.recycle(buf);
+    }
+
+    fn wait(&mut self, dur: std::time::Duration) -> bool {
+        self.inner.wait(dur)
+    }
+
+    fn supports_readiness(&self) -> bool {
+        self.inner.supports_readiness()
+    }
+
+    fn flush_backpressure(&mut self, now: SimTime) -> bool {
+        self.inner.flush_backpressure(now)
+    }
+
+    fn has_backpressure(&self) -> bool {
+        self.inner.has_backpressure()
+    }
+}
+
 fn mux_cluster(
     n: usize,
     seed: u64,
     policy: RetransmitPolicy,
-) -> Cluster<CamChordProtocol, MuxUdpTransport> {
-    let transport = MuxUdpTransport::bind(n).expect("bind loopback mux socket");
+) -> Cluster<CamChordProtocol, Blackholed> {
+    let transport = Blackholed {
+        inner: MuxUdpTransport::bind(n).expect("bind loopback mux socket"),
+        sunk: None,
+    };
     Cluster::converged(
         SPACE,
         &members(n, seed),
@@ -62,7 +135,7 @@ fn mux_cluster(
     )
 }
 
-/// Black-hole one node's wire route, multicast so a payload frame goes
+/// Black-hole one node's wire, multicast so a payload frame goes
 /// unacked, and check the retransmission schedule against the tracer's
 /// timestamps: consecutive retransmits of one frame must be separated by
 /// exactly the armed RTO, within a small scheduling tolerance. The old
@@ -86,13 +159,10 @@ fn rto_fires_on_the_computed_deadline() {
     cluster.set_maintenance_period(Duration::from_millis(100));
     cluster.run_for(Duration::from_millis(300));
 
-    // Unreachable receiver: reroute node 3's endpoint to a socket nobody
-    // reads. Every payload frame sent its way vanishes on the wire (no
-    // frame-layer ack), so the sender must retransmit on the armed
-    // schedule — the same failure a crashed remote host produces.
-    let blackhole = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind blackhole");
-    let sunk = blackhole.local_addr().expect("blackhole addr");
-    assert!(cluster.transport_mut().set_route(3, sunk));
+    // Unreachable receiver: every payload frame sent to node 3 vanishes
+    // on the wire (no frame-layer ack), so the sender must retransmit on
+    // the armed schedule.
+    cluster.transport_mut().sunk = Some(3);
     cluster.start_multicast(0, true, Bytes::from(vec![0x42u8; 200]));
     cluster.run_for(Duration::from_millis(700));
 

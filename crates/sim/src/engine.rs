@@ -10,13 +10,13 @@
 //! The engine is single-threaded and deterministic: events with equal
 //! timestamps are delivered in the order they were scheduled.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use cam_trace::{EventKind, NopTracer, Tracer};
 
 use crate::latency::LatencyModel;
 use crate::rng::SimRng;
-use crate::shard::{EventKey, ShardedEventQueue, DEFAULT_EVENT_SHARDS};
 use crate::time::{Duration, SimTime};
 
 /// Identifies an actor within a [`Simulation`].
@@ -85,15 +85,26 @@ pub struct SimStats {
     pub bytes_received: u64,
 }
 
-pub(crate) enum Payload<M> {
+enum Payload<M> {
     Message { from: ActorId, msg: M },
     Timer { tag: u64 },
 }
 
-pub(crate) struct Event<M> {
-    pub(crate) at: SimTime,
-    pub(crate) to: ActorId,
-    pub(crate) payload: Payload<M>,
+struct Event<M> {
+    at: SimTime,
+    to: ActorId,
+    payload: Payload<M>,
+}
+
+/// Total order of scheduled events: virtual time, then the unique
+/// creation sequence number. `slot` (the event-slab index) rides along
+/// for retrieval and never influences ordering because `seq` already
+/// breaks every tie.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct EventKey {
+    at: SimTime,
+    seq: u64,
+    slot: usize,
 }
 
 /// The world handle an actor receives while handling an event.
@@ -101,15 +112,12 @@ pub(crate) struct Event<M> {
 /// All interaction with the simulated network — sending, timers, the clock,
 /// randomness — goes through the context.
 pub struct Context<'a, M> {
-    pub(crate) now: SimTime,
-    pub(crate) me: ActorId,
-    pub(crate) outbox: &'a mut Vec<(ActorId, ActorId, M, Option<Duration>)>,
-    pub(crate) timers: &'a mut Vec<(ActorId, Duration, u64)>,
-    /// `Some` on the serial path; `None` inside a worker thread of the
-    /// multi-threaded engine mode, where drawing from the global stream
-    /// out of order would break replay (see [`crate::mt`]).
-    pub(crate) rng: Option<&'a mut SimRng>,
-    pub(crate) tracer: &'a mut dyn Tracer,
+    now: SimTime,
+    me: ActorId,
+    outbox: &'a mut Vec<(ActorId, ActorId, M, Option<Duration>)>,
+    timers: &'a mut Vec<(ActorId, Duration, u64)>,
+    rng: &'a mut SimRng,
+    tracer: &'a mut dyn Tracer,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -143,20 +151,8 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Deterministic randomness for protocol decisions.
-    ///
-    /// # Panics
-    ///
-    /// Panics inside the multi-threaded engine mode
-    /// ([`Simulation::run_to_completion_mt`]): handlers running on worker
-    /// threads cannot consume the simulation's global random stream
-    /// without making the draw order depend on the thread schedule. Draw
-    /// protocol randomness while still in serial mode (or derive it from
-    /// per-actor [`SimRng::split`] streams held in actor state).
     pub fn rng(&mut self) -> &mut SimRng {
-        self.rng.as_deref_mut().expect(
-            "ctx.rng() is not available in multi-threaded engine mode; \
-             draw randomness in serial mode or keep a per-actor SimRng split",
-        )
+        self.rng
     }
 
     /// True when the simulation's tracer is actually recording; lets
@@ -179,56 +175,38 @@ impl<'a, M> Context<'a, M> {
 ///
 /// See the [crate-level documentation](crate) for an example.
 pub struct Simulation<A: Actor> {
-    pub(crate) actors: Vec<Option<A>>,
-    /// Pending events, sharded by destination actor. The merge rule
-    /// (`(at, seq)` with a globally unique `seq`; see [`crate::shard`])
-    /// makes delivery order bit-identical for every shard count.
-    pub(crate) queue: ShardedEventQueue,
-    pub(crate) events: Vec<Option<Event<A::Msg>>>,
-    pub(crate) free_slots: Vec<usize>,
-    pub(crate) now: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) latency: LatencyModel,
-    pub(crate) rng: SimRng,
-    pub(crate) stats: SimStats,
+    actors: Vec<Option<A>>,
+    /// Pending events as a min-heap on `(at, seq)`; `seq` is unique, so
+    /// the pop order is a strict total order.
+    queue: BinaryHeap<Reverse<EventKey>>,
+    events: Vec<Option<Event<A::Msg>>>,
+    free_slots: Vec<usize>,
+    now: SimTime,
+    seq: u64,
+    latency: LatencyModel,
+    rng: SimRng,
+    stats: SimStats,
     /// Probability in `[0, 1]` that any message is lost in transit.
-    pub(crate) loss_probability: f64,
+    loss_probability: f64,
     /// Directed actor pairs `(from, to)` whose traffic is silently dropped
     /// (asymmetric partition injection; see
     /// [`Simulation::set_link_blocked`]). Ordered so fault state never
     /// perturbs determinism.
-    pub(crate) blocked: BTreeSet<(usize, usize)>,
+    blocked: BTreeSet<(usize, usize)>,
     /// Optional per-message wire-size function feeding the byte counters
     /// in [`SimStats`] (e.g. `cam-net`'s encoded frame length).
-    pub(crate) wire_cost: Option<fn(&A::Msg) -> usize>,
+    wire_cost: Option<fn(&A::Msg) -> usize>,
     /// Event/telemetry sink handed to every [`Context`]; [`NopTracer`]
     /// (free) unless a recording tracer is installed.
-    pub(crate) tracer: Box<dyn Tracer>,
-    /// Lookahead window for the multi-threaded engine mode (see
-    /// [`crate::mt`]): a batch covers `[t_min, t_min + mt_lookahead]`.
-    /// Zero (the default) is the same-instant window, which is sound for
-    /// every workload.
-    pub(crate) mt_lookahead: Duration,
+    tracer: Box<dyn Tracer>,
 }
 
 impl<A: Actor> Simulation<A> {
-    /// Creates an empty simulation with the given seed and latency model,
-    /// using [`DEFAULT_EVENT_SHARDS`] queue shards.
+    /// Creates an empty simulation with the given seed and latency model.
     pub fn new(seed: u64, latency: LatencyModel) -> Self {
-        Simulation::with_shards(seed, latency, DEFAULT_EVENT_SHARDS)
-    }
-
-    /// [`Simulation::new`] with an explicit event-queue shard count.
-    ///
-    /// `shards = 1` is the classic single-heap engine; any other count
-    /// delivers the *same events in the same order* (the queue's merge rule
-    /// is shard-count-independent — see [`crate::shard`]), so this knob
-    /// trades queue-arena locality against merge-scan width without ever
-    /// changing results.
-    pub fn with_shards(seed: u64, latency: LatencyModel, shards: usize) -> Self {
         Simulation {
             actors: Vec::new(),
-            queue: ShardedEventQueue::new(shards),
+            queue: BinaryHeap::new(),
             events: Vec::new(),
             free_slots: Vec::new(),
             now: SimTime::ZERO,
@@ -240,7 +218,6 @@ impl<A: Actor> Simulation<A> {
             blocked: BTreeSet::new(),
             wire_cost: None,
             tracer: Box::new(NopTracer),
-            mt_lookahead: Duration::ZERO,
         }
     }
 
@@ -407,31 +384,13 @@ impl<A: Actor> Simulation<A> {
                 self.events.len() - 1
             }
         };
-        self.queue.push(to.0, EventKey { at, seq, slot });
-    }
-
-    /// Number of event-queue shards (see [`Simulation::with_shards`]).
-    pub fn shard_count(&self) -> usize {
-        self.queue.shard_count()
+        self.queue.push(Reverse(EventKey { at, seq, slot }));
     }
 
     /// Processes events until the queue is empty or `deadline` is passed.
     /// Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         self.run_inner(Some(deadline), u64::MAX)
-    }
-
-    /// Sets the lookahead window for the multi-threaded engine mode.
-    ///
-    /// With a nonzero lookahead `L`, a parallel batch covers every pending
-    /// event in `[t_min, t_min + L]` instead of only the ties at `t_min`.
-    /// That is sound **only** when every handler-generated event lands
-    /// strictly beyond the window (e.g. the latency model's minimum delay
-    /// exceeds `L`); the engine verifies this at commit time and panics on
-    /// a violation rather than silently diverging from the serial order.
-    /// See [`crate::mt`] for the full safety argument.
-    pub fn set_mt_lookahead(&mut self, lookahead: Duration) {
-        self.mt_lookahead = lookahead;
     }
 
     /// Processes every event until the simulation goes quiet.
@@ -448,13 +407,11 @@ impl<A: Actor> Simulation<A> {
         let mut outbox: Vec<(ActorId, ActorId, A::Msg, Option<Duration>)> = Vec::new();
         let mut timers: Vec<(ActorId, Duration, u64)> = Vec::new();
 
-        while let Some(key) = self.queue.peek() {
-            if let Some(d) = deadline {
-                if key.at > d {
-                    break;
-                }
+        while let Some(&Reverse(key)) = self.queue.peek() {
+            if deadline.is_some_and(|d| key.at > d) {
+                break;
             }
-            let key = self.queue.pop().expect("peeked");
+            self.queue.pop();
             let ev = self.events[key.slot].take().expect("event slot occupied");
             self.free_slots.push(key.slot);
             debug_assert!(ev.at >= self.now, "event from the past");
@@ -479,7 +436,7 @@ impl<A: Actor> Simulation<A> {
                 me: ev.to,
                 outbox: &mut outbox,
                 timers: &mut timers,
-                rng: Some(&mut self.rng),
+                rng: &mut self.rng,
                 tracer: self.tracer.as_mut(),
             };
             match ev.payload {
@@ -655,41 +612,43 @@ mod tests {
         assert_ne!(run(42).0, run(43).0, "different seeds, different delays");
     }
 
-    /// The sharded queue's acceptance bar: for a lossy, jittery workload,
-    /// every shard count must reproduce the single-heap run bit for bit —
-    /// same final clock, same counters, same per-actor state.
+    /// Golden run of a lossy, jittery workload: the final clock, every
+    /// counter and every actor's state are pinned to the values the
+    /// engine produced before its queue was collapsed onto one heap, so
+    /// any change to the event order (or to the RNG draws it drives)
+    /// fails here.
     #[test]
-    fn shard_count_never_changes_results() {
-        let run = |shards: usize| {
-            let mut s: Simulation<PingPong> = Simulation::with_shards(
-                42,
-                LatencyModel::Uniform {
-                    min: Duration::from_millis(5),
-                    max: Duration::from_millis(50),
-                },
-                shards,
-            );
-            s.set_loss_probability(0.1);
-            let ids: Vec<ActorId> = (0..9)
-                .map(|_| s.add_actor(PingPong { received: 0 }))
-                .collect();
-            for (i, &a) in ids.iter().enumerate() {
-                s.post(a, ids[(i + 4) % ids.len()], 40 + i as u32);
-            }
-            s.run_to_completion();
-            let received: Vec<u64> =
-                ids.iter().map(|&a| s.actor(a).unwrap().received).collect();
-            (s.now(), s.stats(), received)
-        };
-        let reference = run(1);
-        for shards in [2, 3, 8, 17] {
-            assert_eq!(run(shards), reference, "shards={shards}");
-        }
-        assert_eq!(
-            Simulation::<PingPong>::new(0, LatencyModel::Constant(Duration::ZERO))
-                .shard_count(),
-            crate::shard::DEFAULT_EVENT_SHARDS
+    fn golden_lossy_jittery_run() {
+        let mut s = Simulation::new(
+            42,
+            LatencyModel::Uniform {
+                min: Duration::from_millis(5),
+                max: Duration::from_millis(50),
+            },
         );
+        s.set_loss_probability(0.1);
+        let ids: Vec<ActorId> = (0..9)
+            .map(|_| s.add_actor(PingPong { received: 0 }))
+            .collect();
+        for (i, &a) in ids.iter().enumerate() {
+            s.post(a, ids[(i + 4) % ids.len()], 40 + i as u32);
+        }
+        s.run_to_completion();
+        let received: Vec<u64> = ids.iter().map(|&a| s.actor(a).unwrap().received).collect();
+        assert_eq!(s.now(), SimTime::ZERO + Duration::from_micros(354_502));
+        assert_eq!(
+            s.stats(),
+            SimStats {
+                sent: 56,
+                delivered: 47,
+                dropped: 9,
+                timers: 0,
+                events: 47,
+                bytes_sent: 0,
+                bytes_received: 0,
+            }
+        );
+        assert_eq!(received, vec![3, 11, 6, 1, 5, 7, 8, 4, 2]);
     }
 
     #[test]

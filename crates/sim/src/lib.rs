@@ -7,9 +7,10 @@
 //! crate is the substrate that plays the role of the authors' (unreleased)
 //! simulator. It provides:
 //!
-//! * [`engine`] — a message-passing actor engine with a virtual clock,
-//!   per-message network latency, timers, and failure injection (killing an
-//!   actor silently drops traffic to it, like UDP to a crashed host);
+//! * [`engine`] — a single-threaded message-passing actor engine with a
+//!   virtual clock, one event heap, per-message network latency, timers,
+//!   and failure injection (killing an actor silently drops traffic to it,
+//!   like UDP to a crashed host);
 //! * [`time`] — virtual time ([`SimTime`]) and durations;
 //! * [`latency`] — pluggable latency models (constant, uniform jitter, and a
 //!   synthetic planar-coordinate model standing in for Internet topologies);
@@ -50,9 +51,7 @@
 pub mod bandwidth;
 pub mod engine;
 pub mod latency;
-pub mod mt;
 pub mod rng;
-pub mod shard;
 pub mod time;
 
 pub use engine::{Actor, ActorId, Context, Simulation};

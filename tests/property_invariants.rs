@@ -122,44 +122,4 @@ proptest! {
         prop_assert_eq!(stats, expected_stats);
         prop_assert_eq!(tput.to_bits(), expected_tput.to_bits());
     }
-
-    /// The sharded event queue pops in the exact single-heap order for
-    /// any shard count: `seq` uniqueness makes `(at, seq)` a strict total
-    /// order that the shard layout cannot perturb.
-    #[test]
-    fn sharded_queue_pop_order_independent_of_shard_count(
-        shards in 1usize..32,
-        events in prop::collection::vec((0usize..64, 0u64..50), 1..200),
-    ) {
-        use cam::sim::shard::{EventKey, ShardedEventQueue};
-        use cam::sim::time::{Duration, SimTime};
-
-        let keyed: Vec<(usize, EventKey)> = events
-            .iter()
-            .enumerate()
-            .map(|(seq, &(actor, micros))| {
-                (
-                    actor,
-                    EventKey {
-                        at: SimTime::ZERO + Duration::from_micros(micros),
-                        seq: seq as u64,
-                        slot: seq,
-                    },
-                )
-            })
-            .collect();
-        let drain = |mut q: ShardedEventQueue| -> Vec<EventKey> {
-            std::iter::from_fn(move || q.pop()).collect()
-        };
-        let mut reference = ShardedEventQueue::new(1);
-        for &(actor, key) in &keyed {
-            reference.push(actor, key);
-        }
-        let mut sharded = ShardedEventQueue::new(shards);
-        for &(actor, key) in &keyed {
-            sharded.push(actor, key);
-        }
-        prop_assert_eq!(sharded.len(), keyed.len());
-        prop_assert_eq!(drain(sharded), drain(reference));
-    }
 }
